@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
-//!     --workload <cold_discover|warm_discover|paged_discover|sync_churn> \
+//!     --workload <warm_discover|paged_discover|sync_churn> \
 //!     --seed <n> --seconds <s> --trace <0|1>
 //! ```
 //!

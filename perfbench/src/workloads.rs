@@ -50,11 +50,16 @@ const BUDGET_NUM: u64 = 3;
 const BUDGET_DEN: u64 = 4;
 /// Columns the paged workload queries (a seeded subset).
 const PAGED_COLUMNS: usize = 512;
-/// Columns per `discover_batch` where a query costs milliseconds
-/// (`cold_discover`, `paged_discover`); the others batch every column.
+/// Columns per `discover_batch` in `paged_discover`, where a query costs
+/// a millisecond; `warm_discover` batches every column.
 const BATCH_SUBSET: usize = 128;
-/// Churn rounds the read-only workloads run after their main phase.
-const TAIL_ROUNDS: usize = 4;
+/// `warm_discover`: queries of a timed pass between two timed batches.
+const WARM_SEGMENT: usize = 640;
+/// `paged_discover`: stream queries between two timed batches.
+const PAGED_GROUP: usize = 500;
+/// Churn rounds the read-only workloads run on their side system, spread
+/// over the main phase.
+const SIDE_ROUNDS: usize = 8;
 /// Checkpoint/recover pairs per churn round.
 const DURABILITY_REPS: usize = 2;
 /// Warm reads (from tables no round touches) per churn round.
@@ -64,15 +69,12 @@ const WARM_PER_ROUND: usize = 32;
 const WIRE_COLUMNS: usize = 500;
 /// Queries per round re-asked of the recovered system.
 const RECOVER_CHECKS: usize = 8;
-/// Batch/sequential pairs after the main phase.
-const BATCH_REPS: usize = 9;
 /// Largest accepted gap between a returned score and the benchmark's
 /// own cosine.
 const SCORE_TOLERANCE: f64 = 1e-4;
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Workload {
-    Cold,
     Warm,
     Paged,
     Churn,
@@ -81,7 +83,6 @@ pub enum Workload {
 impl Workload {
     pub fn parse(s: &str) -> Result<Self, String> {
         Ok(match s {
-            "cold_discover" => Workload::Cold,
             "warm_discover" => Workload::Warm,
             "paged_discover" => Workload::Paged,
             "sync_churn" => Workload::Churn,
@@ -89,15 +90,9 @@ impl Workload {
         })
     }
 
-    /// The system configuration of a workload. `cold_discover` disables
-    /// the embedding cache so that every query, in every pass, scans and
-    /// embeds.
+    /// The system configuration: the defaults, with [`WORKERS`] workers.
     fn config(self) -> WarpGateConfig {
-        let config = WarpGateConfig { threads: WORKERS, ..WarpGateConfig::default() };
-        match self {
-            Workload::Cold => config.with_cache_capacity(0),
-            _ => config,
-        }
+        WarpGateConfig { threads: WORKERS, ..WarpGateConfig::default() }
     }
 }
 
@@ -168,8 +163,9 @@ struct Spans {
 struct Sut {
     config: WarpGateConfig,
     wg: WarpGate,
-    /// `paged_discover`: the in-RAM system the paged one was saved from.
-    ram: Option<WarpGate>,
+    /// `paged_discover`: the in-RAM system the paged one was saved from,
+    /// and (traced) the span of its model.
+    ram: Option<(WarpGate, Option<Arc<Span>>)>,
     /// The priced CDW; its meter is the billing truth.
     connector: Arc<CdwConnector>,
     /// The handle the system is attached to.
@@ -251,7 +247,7 @@ fn set_up(
         config = config.with_block_cache_bytes(budget);
         let (mut paged, paged_model) = new_system(config, client.clone(), trace);
         paged.load_paged(&dir).map_err(|e| format!("load_paged: {e}"))?;
-        ram = Some(std::mem::replace(&mut wg, paged));
+        ram = Some((std::mem::replace(&mut wg, paged), model));
         model = paged_model;
     }
     let spans = match (client_spans, server_spans, model) {
@@ -261,6 +257,14 @@ fn set_up(
     let total_s = start.elapsed().as_secs_f64();
     let sut = Sut { config, wg, ram, connector, client, spans, budget };
     Ok((sut, corpus, SetupTiming { build_s, index_cols_per_s, total_s }))
+}
+
+/// The side system of a read-only workload and its churn progress.
+struct Side {
+    sut: Sut,
+    vectors: HashMap<(ColumnRef, u64), Vector>,
+    /// Churn rounds run so far.
+    done: usize,
 }
 
 /// Per-layer samples of the traced run.
@@ -328,6 +332,11 @@ struct Run<'a> {
     plan: ChurnPlan,
     /// Answers of the first (cold, in-RAM) pass, by column index.
     reference: Vec<Vec<JoinCandidate>>,
+    /// Read-only workloads: a second system, on a warehouse of its own,
+    /// that the churn rounds mutate.
+    side: Option<Side>,
+    /// Microseconds spent inside `discover` calls so far.
+    busy_us: f64,
     vectors: HashMap<(ColumnRef, u64), Vector>,
     /// Whether cache misses count toward `scan_bytes_per_query`: only in
     /// phases that repeat whole (passes, cycles) or run once, so the
@@ -539,6 +548,7 @@ impl Run<'_> {
         let start = Instant::now();
         let result = self.sut.wg.discover(q, K);
         let us = start.elapsed().as_secs_f64() * 1e6;
+        self.busy_us += us;
         let spent = Readings::take(&self.sut.spans).since(before);
         let billed = self.costs().since(&cost_before);
         self.attempted += 1;
@@ -610,18 +620,18 @@ impl Run<'_> {
 
     /// Discover each column of `order` once, in that order. With `expect`,
     /// each answer must equal the reference answer bit for bit; otherwise
-    /// the answers become the reference.
+    /// the answers become the reference. A recorded pass adds its seconds
+    /// per query, summed over the discover calls alone, to `pass_s`.
     fn pass(&mut self, order: &[usize], record: bool, expect: bool) {
-        let start = Instant::now();
+        let busy_before = self.busy_us;
         let mut answers = Vec::with_capacity(order.len());
         for &i in order {
             let q = self.columns[i].clone();
             let got = self.discover(&q, record).map(|d| d.candidates).unwrap_or_default();
             answers.push((i, got));
         }
-        self.s.pass_s.push(start.elapsed().as_secs_f64() / order.len() as f64);
-        if !expect {
-            self.reference = vec![Vec::new(); self.columns.len()];
+        if record && !order.is_empty() {
+            self.s.pass_s.push((self.busy_us - busy_before) / 1e6 / order.len() as f64);
         }
         for (i, got) in answers {
             if expect {
@@ -636,27 +646,31 @@ impl Run<'_> {
 
     fn batch_len(&self) -> usize {
         match self.args.workload {
-            Workload::Cold | Workload::Paged => BATCH_SUBSET.min(self.columns.len()),
+            Workload::Paged => BATCH_SUBSET.min(self.columns.len()),
             Workload::Warm | Workload::Churn => self.columns.len(),
         }
     }
 
-    /// `discover_batch` over a seeded order of the base columns; its
-    /// answers, in input order, must equal the reference answers.
+    /// A timed `discover_batch` over a seeded order of the base columns;
+    /// its answers, in input order, must equal the reference answers.
     fn batch(&mut self, tag: u64) {
         let mut order = self.order(tag);
         order.truncate(self.batch_len());
-        self.batch_over(&order, true);
+        let queries: Vec<ColumnRef> = order.iter().map(|&i| self.columns[i].clone()).collect();
+        let want: Vec<Vec<JoinCandidate>> =
+            order.iter().map(|&i| self.reference[i].clone()).collect();
+        self.batch_over(&queries, &want, true);
     }
 
-    /// `discover_batch` over `order`, with the billing check of
-    /// [`Self::discover`] summed over the batch. `record` marks a timed
-    /// batch.
-    fn batch_over(&mut self, order: &[usize], record: bool) {
-        let queries: Vec<ColumnRef> = order.iter().map(|&i| self.columns[i].clone()).collect();
+    /// `discover_batch` over `queries`, whose answers must equal `want`,
+    /// with the billing check of [`Self::discover`] summed over the batch.
+    /// `record` marks a timed batch; timed batches run a number of times
+    /// that depends on the host's speed, so only untimed ones count toward
+    /// `scan_bytes_per_query`.
+    fn batch_over(&mut self, queries: &[ColumnRef], want: &[Vec<JoinCandidate>], record: bool) {
         let cost_before = self.costs();
         let start = Instant::now();
-        let result = self.sut.wg.discover_batch(&queries, K);
+        let result = self.sut.wg.discover_batch(queries, K);
         let secs = start.elapsed().as_secs_f64();
         let billed = self.costs().since(&cost_before);
         self.attempted += queries.len() as u64;
@@ -675,63 +689,66 @@ impl Run<'_> {
         self.check(billed.requests == misses, || {
             format!("batch billed {} scans for {misses} cache misses", billed.requests)
         });
-        if self.count_misses {
+        if self.count_misses && !record {
             self.s.misses += misses;
             self.s.miss_bytes += billed.bytes_scanned;
         }
-        let in_order = ds.iter().zip(&queries).all(|(d, q)| &d.query == q);
+        let in_order = ds.iter().zip(queries).all(|(d, q)| &d.query == q);
         self.check(in_order && ds.len() == queries.len(), || {
             "batch answers out of input order".into()
         });
-        for (d, &i) in ds.iter().zip(order) {
-            let same = d.candidates == self.reference[i];
-            let q = self.columns[i].clone();
+        for (d, want) in ds.iter().zip(want) {
+            let same = &d.candidates == want;
+            let q = d.query.clone();
             self.check(same, || format!("{q}: batch answers differ from the in-RAM cold answers"));
             self.check_answers(&q, &d.candidates);
         }
     }
 
-    fn elapsed_ok(&self, start: Instant) -> bool {
-        start.elapsed().as_secs_f64() >= self.args.seconds
-    }
-
     // ---- main phases ------------------------------------------------------
 
-    fn main_cold(&mut self) {
-        self.count_misses = true;
+    /// Run `slice` until `--seconds` have passed and the discover samples
+    /// carry a p99, stopping only where `slice` returns true (the end of
+    /// a whole pass or cycle). The side system's churn rounds run spread
+    /// evenly over the same time, so every metric samples the whole run
+    /// rather than a few seconds of it.
+    fn timed_loop(&mut self, mut slice: impl FnMut(&mut Self) -> bool) {
         let start = Instant::now();
-        let mut pass_no = 0u64;
         loop {
-            let order = self.order(0x100 + pass_no);
-            self.pass(&order, true, pass_no > 0);
-            pass_no += 1;
-            if self.elapsed_ok(start) && self.s.discover_us.len() >= min_samples_for(99.0) {
+            let whole = slice(self);
+            self.side_rounds_due(start);
+            let enough = self.s.discover_us.len() >= min_samples_for(99.0);
+            if whole && enough && start.elapsed().as_secs_f64() >= self.args.seconds {
                 break;
             }
         }
-        self.count_misses = false;
-        for rep in 0..BATCH_REPS {
-            self.batch(0x200 + rep as u64);
-        }
+        self.side_rounds_due(start);
     }
 
+    /// An untimed pass fills the embedding cache and gives the reference
+    /// answers, counted whole toward `scan_bytes_per_query`; then timed
+    /// passes in seeded orders, a timed batch after every
+    /// [`WARM_SEGMENT`] queries.
     fn main_warm(&mut self) {
         self.count_misses = true;
         self.pass(&self.order(0x50), false, false);
         self.count_misses = false;
-        self.s.pass_s.clear();
         let cost_before = self.costs();
-        let start = Instant::now();
         let mut pass_no = 0u64;
-        loop {
-            self.pass(&self.order(0x100 + pass_no), true, true);
-            pass_no += 1;
-            if self.elapsed_ok(start) && self.s.discover_us.len() >= min_samples_for(99.0) {
-                break;
+        let mut order = self.order(0x100);
+        let mut at = 0usize;
+        self.timed_loop(|run| {
+            let end = (at + WARM_SEGMENT).min(order.len());
+            run.pass(&order[at..end], true, true);
+            run.batch(0x200 + (pass_no << 16) + at as u64);
+            at = end;
+            if at == order.len() {
+                pass_no += 1;
+                order = run.order(0x100 + pass_no);
+                at = 0;
             }
-        }
-        self.s.pass_s.clear();
-        self.batch_pairs();
+            true
+        });
         let billed = self.costs().since(&cost_before);
         self.check(billed.requests == 0, || format!("warm phase billed {} scans", billed.requests));
     }
@@ -739,19 +756,17 @@ impl Run<'_> {
     fn main_paged(&mut self) {
         // The in-RAM cold answers, from the system the segments were saved
         // from.
-        let ram = self.sut.ram.take().expect("paged set-up keeps the in-RAM system");
-        let mut reference = vec![Vec::new(); self.columns.len()];
+        let (ram, _) = self.sut.ram.take().expect("paged set-up keeps the in-RAM system");
         for (i, q) in self.columns.iter().enumerate() {
             match ram.discover(q, K) {
-                Ok(d) => reference[i] = d.candidates,
+                Ok(d) => self.reference[i] = d.candidates,
                 Err(e) => self.failures.push(format!("in-RAM discover {q}: {e}")),
             }
         }
         drop(ram);
-        self.reference = reference;
         // Warm the embedding cache of the paged system, untimed and batched
         // (half the wall time of a sequential pass): the query subset, and
-        // the tables no churn round touches, which the rounds read warm.
+        // the tables no churn round touches.
         let untouched: HashSet<&str> =
             self.plan.untouched.iter().map(|&t| self.base[t].name()).collect();
         let mut warm = self.order(0x50);
@@ -759,8 +774,11 @@ impl Run<'_> {
             .filter(|&i| untouched.contains(self.columns[i].table.as_str()) && !warm.contains(&i))
             .collect();
         warm.extend(extra);
+        let queries: Vec<ColumnRef> = warm.iter().map(|&i| self.columns[i].clone()).collect();
+        let want: Vec<Vec<JoinCandidate>> =
+            warm.iter().map(|&i| self.reference[i].clone()).collect();
         self.count_misses = true;
-        self.batch_over(&warm, false);
+        self.batch_over(&queries, &want, false);
         self.count_misses = false;
 
         let columns = self.order(0x50);
@@ -770,59 +788,103 @@ impl Run<'_> {
                 .map(|j| columns[j])
                 .collect();
         let cost_before = self.costs();
-        let blocks_before = self.sut.wg.block_cache_stats();
-        let mut blocks_read = 0u64;
-        let start = Instant::now();
+        // Block-cache counts of the stream alone: the interleaved batches
+        // read blocks too.
+        let (mut blocks_read, mut lookups, mut hits, mut evictions) = (0u64, 0u64, 0u64, 0u64);
         let mut at = 0usize;
-        loop {
-            for _ in 0..500 {
+        let mut batch_no = 0u64;
+        self.timed_loop(|run| {
+            let before = run.sut.wg.block_cache_stats();
+            let busy_before = run.busy_us;
+            for _ in 0..PAGED_GROUP {
                 let i = stream[at % stream.len()];
                 at += 1;
-                let q = self.columns[i].clone();
-                if let Some(d) = self.discover(&q, true) {
+                let q = run.columns[i].clone();
+                if let Some(d) = run.discover(&q, true) {
                     blocks_read += d.timing.blocks_read;
-                    let same = d.candidates == self.reference[i];
-                    self.check(same, || {
+                    let same = d.candidates == run.reference[i];
+                    run.check(same, || {
                         format!("{q}: paged answers differ from the in-RAM answers")
                     });
                 }
             }
-            if self.elapsed_ok(start) && self.s.discover_us.len() >= min_samples_for(99.0) {
-                break;
-            }
-        }
-        let after = self.sut.wg.block_cache_stats();
-        let lookups = (after.hits + after.misses) - (blocks_before.hits + blocks_before.misses);
+            run.s.pass_s.push((run.busy_us - busy_before) / 1e6 / PAGED_GROUP as f64);
+            let after = run.sut.wg.block_cache_stats();
+            lookups += (after.hits + after.misses) - (before.hits + before.misses);
+            hits += after.hits - before.hits;
+            evictions += after.evictions - before.evictions;
+            run.batch(0x200 + batch_no);
+            batch_no += 1;
+            true
+        });
         self.check(lookups == blocks_read, || {
             format!("blocks read {blocks_read} but the cache saw {lookups} lookups")
         });
+        let peak = self.sut.wg.block_cache_stats().peak_resident_bytes;
         let budget = self.sut.budget;
-        self.check(after.peak_resident_bytes <= budget, || {
-            format!(
-                "block cache peaked at {} bytes over a {budget}-byte budget",
-                after.peak_resident_bytes
-            )
+        self.check(peak <= budget, || {
+            format!("block cache peaked at {peak} bytes over a {budget}-byte budget")
         });
         let billed = self.costs().since(&cost_before);
         self.check(billed.requests == 0, || {
             format!("paged phase billed {} scans", billed.requests)
         });
-        self.l.block_hits = after.hits - blocks_before.hits;
+        self.l.block_hits = hits;
         self.l.block_lookups = lookups;
-        self.l.evictions = after.evictions - blocks_before.evictions;
+        self.l.evictions = evictions;
         self.l.paged_queries = at as u64;
-        self.l.peak_resident_bytes = after.peak_resident_bytes as f64;
-        self.batch_pairs();
+        self.l.peak_resident_bytes = peak as f64;
     }
 
-    /// Sequential passes and batches in turn, over the same columns.
-    fn batch_pairs(&mut self) {
-        for rep in 0..BATCH_REPS {
-            let mut order = self.order(0x200 + rep as u64);
-            order.truncate(self.batch_len());
-            self.pass(&order, false, true);
-            self.batch(0x200 + rep as u64);
+    /// Run the side system's churn rounds that are due by now: round `j`
+    /// of [`SIDE_ROUNDS`] falls due at `(j + ½) / SIDE_ROUNDS` of
+    /// `--seconds`, and every one is due once the main phase has run its
+    /// length, so each run makes the same rounds.
+    fn side_rounds_due(&mut self, start: Instant) {
+        let Some(mut side) = self.side.take() else { return };
+        let seconds = self.args.seconds;
+        let due = |done: usize| {
+            let at = (done as f64 + 0.5) / SIDE_ROUNDS as f64 * seconds;
+            start.elapsed().as_secs_f64() >= at
+        };
+        while side.done < SIDE_ROUNDS && due(side.done) {
+            // The side system stands in for the system under test for the
+            // round: its warehouse, its embedding checks, no miss counting.
+            std::mem::swap(&mut self.sut, &mut side.sut);
+            std::mem::swap(&mut self.vectors, &mut side.vectors);
+            let count_misses = std::mem::replace(&mut self.count_misses, false);
+            let plan = self.plan.clone();
+            self.churn_round(&plan, side.done % plan.len(), false);
+            self.count_misses = count_misses;
+            std::mem::swap(&mut self.vectors, &mut side.vectors);
+            std::mem::swap(&mut self.sut, &mut side.sut);
+            side.done += 1;
         }
+        self.side = Some(side);
+    }
+
+    /// Bring the side system's warehouse to the state of the cycle's last
+    /// round, untimed, so that its first round syncs a usual change set,
+    /// and warm its cache on the tables no round touches, which the
+    /// rounds read warm.
+    fn prime_side(&mut self) {
+        let Some(mut side) = self.side.take() else { return };
+        std::mem::swap(&mut self.sut, &mut side.sut);
+        std::mem::swap(&mut self.vectors, &mut side.vectors);
+        let plan = self.plan.clone();
+        self.prime(&plan);
+        let untouched: Vec<ColumnRef> = plan
+            .untouched
+            .iter()
+            .flat_map(|&t| self.base[t].columns().iter().map(move |c| (t, c.name().to_string())))
+            .map(|(t, c)| ColumnRef::new(DB, self.base[t].name(), c))
+            .collect();
+        for q in &untouched {
+            self.discover(q, false);
+        }
+        std::mem::swap(&mut self.vectors, &mut side.vectors);
+        std::mem::swap(&mut self.sut, &mut side.sut);
+        self.side = Some(side);
     }
 
     // ---- churn ------------------------------------------------------------
@@ -893,7 +955,16 @@ impl Run<'_> {
         self.sync(&expect, false);
     }
 
-    fn churn_round(&mut self, plan: &ChurnPlan, i: usize, record_discovers: bool) {
+    /// One churn round; returns the round's reads and their answers.
+    /// `record` marks a main-phase round of `sync_churn`: its discovers
+    /// are samples, and a warm sequential re-read of the same columns is
+    /// timed against one `discover_batch` of them.
+    fn churn_round(
+        &mut self,
+        plan: &ChurnPlan,
+        i: usize,
+        record: bool,
+    ) -> (Vec<ColumnRef>, Vec<Vec<JoinCandidate>>) {
         let prev = (i + plan.len() - 1) % plan.len();
         let expect = self.mutate(plan, Some(prev), i);
         self.check((expect.added, expect.updated, expect.removed) == (2, 2 * 3, 2), || {
@@ -932,19 +1003,25 @@ impl Run<'_> {
         let mut misses = 0u64;
         let mut answers: Vec<Vec<JoinCandidate>> = Vec::with_capacity(queries.len());
         for q in &queries {
-            let d = self.discover(q, record_discovers);
+            let d = self.discover(q, record);
             misses += u64::from(d.as_ref().is_some_and(|d| !d.timing.cache_hit));
             answers.push(d.map(|d| d.candidates).unwrap_or_default());
         }
-        let cache_on = self.sut.config.cache_capacity > 0;
-        let expected_misses = if cache_on { cold } else { queries.len() } as u64;
-        self.check(misses == expected_misses, || {
-            format!("round {i}: {misses} cache misses, expected {expected_misses}")
+        self.check(misses == cold as u64, || {
+            format!("round {i}: {misses} cache misses, expected {cold}")
         });
         self.s.cold_reads_per_round.push(misses as f64);
 
-        if self.args.workload == Workload::Churn && self.s.sync_ms.len() == 1 {
-            self.check_against_scratch(&queries, &answers);
+        if record {
+            let busy_before = self.busy_us;
+            let mut same = true;
+            for (q, want) in queries.iter().zip(&answers) {
+                let got = self.discover(q, false).map(|d| d.candidates);
+                same &= got.as_ref() == Some(want);
+            }
+            self.s.pass_s.push((self.busy_us - busy_before) / 1e6 / queries.len() as f64);
+            self.check(same, || format!("round {i}: warm re-reads differ from the first reads"));
+            self.batch_over(&queries, &answers, true);
         }
 
         let ckpt = Checkpointer::new(self.tmp.0.join("state.wgs"));
@@ -952,7 +1029,7 @@ impl Run<'_> {
         for _ in 0..DURABILITY_REPS {
             fresh = self.checkpoint_and_recover(&ckpt);
             if fresh.is_none() {
-                return;
+                return (queries, answers);
             }
         }
         let fresh = fresh.expect("at least one recovery");
@@ -970,6 +1047,7 @@ impl Run<'_> {
         if self.sut.spans.is_some() {
             self.persist_replay();
         }
+        (queries, answers)
     }
 
     /// `Checkpointer::checkpoint` the system, then `recover` it into a
@@ -1028,17 +1106,21 @@ impl Run<'_> {
     }
 
     /// Main phase of `sync_churn`: whole cycles of rounds.
+    /// The last round's answers are then checked, untimed, against a
+    /// system indexed from scratch.
     fn main_churn(&mut self, plan: &ChurnPlan) {
         self.prime(plan);
         self.count_misses = true;
-        let start = Instant::now();
-        loop {
-            for i in 0..plan.len() {
-                self.churn_round(plan, i, true);
-            }
-            if self.elapsed_ok(start) && self.s.discover_us.len() >= min_samples_for(99.0) {
-                break;
-            }
+        let mut i = 0usize;
+        let mut last = None;
+        self.timed_loop(|run| {
+            last = Some(run.churn_round(plan, i, true));
+            i = (i + 1) % plan.len();
+            i == 0
+        });
+        self.count_misses = false;
+        if let Some((queries, answers)) = last {
+            self.check_against_scratch(&queries, &answers);
         }
     }
 
@@ -1239,16 +1321,33 @@ fn ratio(a: u64, b: u64) -> f64 {
 pub fn run(args: &Args) -> Result<Output, String> {
     let tmp = TempDir::new()?;
     let mut setups = Vec::with_capacity(SETUP_REPS);
-    let mut last = None;
-    for _ in 0..SETUP_REPS {
-        // Drop the previous system before building the next one.
-        drop(last.take());
+    let mut last: Option<(Sut, Corpus)> = None;
+    let mut side = None;
+    for rep in 0..SETUP_REPS {
+        // Drop the previous system before building the next one; the
+        // read-only workloads keep the one before the last as their side
+        // system, in RAM (`paged_discover` keeps the in-RAM system its
+        // paged one was saved from).
+        if let Some((mut sut, _)) = last.take() {
+            if rep + 1 == SETUP_REPS && args.workload != Workload::Churn {
+                if let Some((ram, ram_model)) = sut.ram.take() {
+                    sut.wg = ram;
+                    sut.config = args.workload.config();
+                    sut.budget = 0;
+                    if let (Some(spans), Some(model)) = (sut.spans.as_mut(), ram_model) {
+                        spans.model = model;
+                    }
+                }
+                side = Some(Side { sut, vectors: HashMap::new(), done: 0 });
+            }
+        }
         let (sut, corpus, timing) = set_up(args.workload, args.trace, &tmp.0)?;
         setups.push(timing);
         last = Some((sut, corpus));
     }
     let (sut, corpus) = last.expect("at least one set-up");
     let columns: Vec<ColumnRef> = corpus.warehouse.iter_columns().map(|(r, _)| r).collect();
+    let total = columns.len();
     let base: Vec<Table> =
         corpus.warehouse.database(DB).map_err(|e| e.to_string())?.tables().to_vec();
     let plan = ChurnPlan::generate(base.len(), args.seed);
@@ -1260,7 +1359,9 @@ pub fn run(args: &Args) -> Result<Output, String> {
         columns,
         base,
         plan: plan.clone(),
-        reference: Vec::new(),
+        reference: vec![Vec::new(); total],
+        side,
+        busy_us: 0.0,
         vectors: HashMap::new(),
         count_misses: false,
         attempted: 0,
@@ -1270,49 +1371,35 @@ pub fn run(args: &Args) -> Result<Output, String> {
         l: Layers::default(),
     };
     let indexed = run.sut.wg.len();
-    let total = run.columns.len();
     run.check(indexed == total, || format!("indexed {indexed} of {total} columns"));
 
     let t0 = Instant::now();
     let phase =
         |name: &str| eprintln!("perfbench: {name} done at {:.1}s", t0.elapsed().as_secs_f64());
     phase("set-up");
+    run.prime_side();
     match args.workload {
-        Workload::Cold => run.main_cold(),
         Workload::Warm => run.main_warm(),
         Workload::Paged => run.main_paged(),
-        Workload::Churn => {
-            run.pass(&run.order(0x50), false, false);
-            run.s.pass_s.clear();
-            run.batch_pairs();
-        }
+        // The reference answers, on the base warehouse.
+        Workload::Churn => run.pass(&run.order(0x50), false, false),
     }
     phase("main phase");
+    // The replays and recall read the index the reference answers came
+    // from, so they precede `sync_churn`'s rounds.
     if args.trace {
         run.lsh_replay();
         run.wire_replay();
         phase("lsh and wire replays");
     }
     let recall = run.recall_at_10();
-    // Sequential-pass and batch figures are settled before any churn.
+    if args.workload == Workload::Churn {
+        run.main_churn(&plan);
+        phase("churn rounds");
+    }
     let pass_s = med(&run.s.pass_s);
     let batch_s = med(&run.s.batch_s);
     let discover_us = std::mem::take(&mut run.s.discover_us);
-    match args.workload {
-        Workload::Churn => run.main_churn(&plan),
-        _ => {
-            run.prime(&plan);
-            for i in 0..TAIL_ROUNDS.min(plan.len()) {
-                run.churn_round(&plan, i, false);
-            }
-        }
-    }
-    let discover_us = if args.workload == Workload::Churn {
-        std::mem::take(&mut run.s.discover_us)
-    } else {
-        discover_us
-    };
-    phase("churn rounds");
     if args.trace {
         run.block_replay();
         phase("block replay");
